@@ -5,8 +5,8 @@ import "testing"
 // Louvain's local-move phase must not allocate per node: the dense
 // community-weight scratch replaced a per-node map + candidate slice +
 // sort. Allocations should scale with levels (a handful of slices each),
-// not with nodes×passes. This is the -benchmem guard for the miner's
-// community-detection hot loop in test form.
+// not with nodes×passes or super-edges. This is the -benchmem guard for
+// the miner's community-detection hot loop in test form.
 func TestLouvainAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc bounds only hold on production builds")
@@ -40,9 +40,10 @@ func TestLouvainAllocsBounded(t *testing.T) {
 			t.Fatal("bad labels")
 		}
 	})
-	// Observed ~120 for this graph (per-level slices + aggregation maps).
-	// A return to per-node allocation would be tens of thousands.
-	if allocs > 600 {
-		t.Errorf("Louvain = %.0f allocs, want <= 600 (scratch reuse regressed)", allocs)
+	// Observed ~80 for this graph (per-level slices; each super-graph is
+	// one FromEdges build). The map-based aggregation took ~210, and a
+	// return to per-node allocation would be tens of thousands.
+	if allocs > 160 {
+		t.Errorf("Louvain = %.0f allocs, want <= 160 (scratch reuse regressed)", allocs)
 	}
 }

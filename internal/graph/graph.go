@@ -25,6 +25,58 @@ type Graph struct {
 	sumWeight float64 // sum of all edge weights, each undirected edge once
 }
 
+// Edge is one weighted undirected edge for FromEdges. U == V is a
+// self-loop.
+type Edge struct {
+	U, V int32
+	W    float64
+}
+
+// FromEdges builds a graph over nodes 0..n-1 from an edge list in one
+// allocation-light pass: it counts every node's degree, carves all
+// adjacency lists out of one contiguous backing array, then fills them in
+// edge-list order. The result equals calling AddEdge for each edge in
+// order: every node's neighbour order, its Degree and TotalWeight are the
+// same, and so are the Louvain labels. Parallel edges accumulate weight as
+// with AddEdge. Every endpoint must lie in [0, n) and every weight must be
+// positive; FromEdges panics otherwise.
+func FromEdges(n int, edges []Edge) *Graph {
+	g := &Graph{adj: make([][]edge, n), selfLoop: make([]float64, n)}
+	deg := make([]int32, n)
+	total := 0
+	for _, e := range edges {
+		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n))
+		}
+		if !(e.W > 0) {
+			panic(fmt.Sprintf("graph: edge (%d,%d) weight %g must be positive", e.U, e.V, e.W))
+		}
+		if e.U != e.V {
+			deg[e.U]++
+			deg[e.V]++
+			total += 2
+		}
+	}
+	backing := make([]edge, total)
+	off := 0
+	for u, d := range deg {
+		// Capacity is capped so a later AddEdge reallocates instead of
+		// overwriting the next node's list.
+		g.adj[u] = backing[off : off : off+int(d)]
+		off += int(d)
+	}
+	for _, e := range edges {
+		g.sumWeight += e.W
+		if e.U == e.V {
+			g.selfLoop[e.U] += e.W
+			continue
+		}
+		g.adj[e.U] = append(g.adj[e.U], edge{to: e.V, w: e.W})
+		g.adj[e.V] = append(g.adj[e.V], edge{to: e.U, w: e.W})
+	}
+	return g
+}
+
 // New returns a graph with n isolated nodes.
 func New(n int) *Graph {
 	return &Graph{
@@ -269,6 +321,12 @@ func (g *Graph) louvainLocal(seed int64) (bool, []int) {
 // aggregate builds the community super-graph: one node per community, edge
 // weights summed, intra-community weight folded into self-loops. It returns
 // the new graph and the number of communities.
+//
+// Communities are visited in ascending order, and each one's weights to
+// higher communities accumulate in a dense per-community array guarded by
+// a stamp. The super-edges therefore come out sorted by (a, b), and
+// FromEdges gives every super-node its neighbours in ascending order: the
+// float sums inside Degree at the next level run in a fixed order.
 func (g *Graph) aggregate(community []int) (*Graph, int) {
 	k := 0
 	for _, c := range community {
@@ -276,61 +334,90 @@ func (g *Graph) aggregate(community []int) (*Graph, int) {
 			k = c + 1
 		}
 	}
-	agg := New(k)
-	for u := range g.adj {
-		cu := community[u]
-		if g.selfLoop[u] > 0 {
-			agg.selfLoop[cu] += g.selfLoop[u]
-			agg.sumWeight += g.selfLoop[u]
+	start, members := groupByLabel(community, k)
+	acc := make([]float64, k) // community -> weight from the current one
+	stamp := make([]int32, k) // community -> 1 + last community that touched it
+	var touched []int32
+	var edges []Edge
+	for c := 0; c < k; c++ {
+		self := 0.0
+		for _, u := range members[start[c]:start[c+1]] {
+			self += g.selfLoop[u]
+			for _, e := range g.adj[u] {
+				cv := int32(community[e.to])
+				switch {
+				case int(cv) == c:
+					if int(e.to) > u { // visit each intra edge once
+						self += e.w
+					}
+				case int(cv) > c: // the lower community emits the edge
+					if stamp[cv] != int32(c+1) {
+						stamp[cv] = int32(c + 1)
+						acc[cv] = 0
+						touched = append(touched, cv)
+					}
+					acc[cv] += e.w
+				}
+			}
 		}
-	}
-	type pairKey struct{ a, b int }
-	acc := make(map[pairKey]float64)
-	for u := range g.adj {
-		cu := community[u]
-		for _, e := range g.adj[u] {
-			cv := community[e.to]
-			if int(e.to) < u {
-				continue // visit each undirected edge once
-			}
-			if cu == cv {
-				agg.selfLoop[cu] += e.w
-				agg.sumWeight += e.w
-				continue
-			}
-			a, b := cu, cv
-			if a > b {
-				a, b = b, a
-			}
-			acc[pairKey{a, b}] += e.w
+		if self > 0 {
+			edges = append(edges, Edge{U: int32(c), V: int32(c), W: self})
 		}
+		slices.Sort(touched)
+		for _, cv := range touched {
+			edges = append(edges, Edge{U: int32(c), V: cv, W: acc[cv]})
+		}
+		touched = touched[:0]
 	}
-	for pk, w := range acc {
-		agg.adj[pk.a] = append(agg.adj[pk.a], edge{to: int32(pk.b), w: w})
-		agg.adj[pk.b] = append(agg.adj[pk.b], edge{to: int32(pk.a), w: w})
-		agg.sumWeight += w
-	}
-	return agg, k
+	return FromEdges(k, edges), k
 }
 
-// compactLabels renumbers arbitrary labels to 0..k-1 preserving first-seen
-// order.
+// groupByLabel counting-sorts the nodes by label: the members of label l
+// are members[start[l]:start[l+1]], in ascending node order. Labels must
+// lie in [0, k).
+func groupByLabel(labels []int, k int) (start, members []int) {
+	start = make([]int, k+1)
+	for _, l := range labels {
+		start[l+1]++
+	}
+	for l := 0; l < k; l++ {
+		start[l+1] += start[l]
+	}
+	members = make([]int, len(labels))
+	next := slices.Clone(start[:k])
+	for v, l := range labels {
+		members[next[l]] = v
+		next[l]++
+	}
+	return start, members
+}
+
+// compactLabels renumbers labels to 0..k-1 preserving first-seen order.
+// Labels must be non-negative; they are remapped through a dense slice.
 func compactLabels(labels []int) []int {
-	remap := make(map[int]int)
+	maxLabel := -1
+	for _, l := range labels {
+		maxLabel = max(maxLabel, l)
+	}
+	remap := make([]int, maxLabel+1)
+	for i := range remap {
+		remap[i] = -1
+	}
 	out := make([]int, len(labels))
+	k := 0
 	for i, l := range labels {
-		id, ok := remap[l]
-		if !ok {
-			id = len(remap)
-			remap[l] = id
+		if remap[l] < 0 {
+			remap[l] = k
+			k++
 		}
-		out[i] = id
+		out[i] = remap[l]
 	}
 	return out
 }
 
 // Communities groups node ids by community label; members are in ascending
-// node order, communities ordered by label.
+// node order, communities ordered by label. Labels must be non-negative.
+// All groups share one backing array.
 func Communities(labels []int) [][]int {
 	k := 0
 	for _, l := range labels {
@@ -338,39 +425,45 @@ func Communities(labels []int) [][]int {
 			k = l + 1
 		}
 	}
+	start, members := groupByLabel(labels, k)
 	out := make([][]int, k)
-	for v, l := range labels {
-		out[l] = append(out[l], v)
+	for l := range out {
+		out[l] = members[start[l]:start[l+1]:start[l+1]]
 	}
 	return out
 }
 
-// SubgraphDensity computes the density of the node set within g as defined
-// by the paper's w(C): 2|e| / (|v|·(|v|-1)), where |e| counts distinct
-// member pairs connected by at least one edge. Singleton sets have density 0.
-func (g *Graph) SubgraphDensity(members []int) float64 {
-	v := len(members)
-	if v < 2 {
-		return 0
+// CommunityDensities returns the paper's w(C) for every community of a
+// labelling in one O(E) pass: 2|e| / (|v|·(|v|-1)), where |e| counts the
+// distinct member pairs joined by at least one edge. labels must lie in
+// [0, k); a community with fewer than two members has density 0.
+//
+// Each connected pair is counted from its lower endpoint u. A per-node
+// stamp records the last u that counted a neighbour, so parallel edges
+// between the same pair count once.
+func (g *Graph) CommunityDensities(labels []int, k int) []float64 {
+	size := make([]int, k)
+	for _, l := range labels {
+		size[l]++
 	}
-	in := make(map[int]bool, v)
-	for _, u := range members {
-		in[u] = true
-	}
-	type pairKey struct{ a, b int }
-	seen := make(map[pairKey]bool)
-	for _, u := range members {
-		for _, e := range g.adj[u] {
-			t := int(e.to)
-			if !in[t] || t == u {
+	pairs := make([]int, k)
+	stamp := make([]int32, len(g.adj)) // node -> 1 + last u that counted it
+	for u, a := range g.adj {
+		c := labels[u]
+		for _, e := range a {
+			t := e.to
+			if int(t) <= u || labels[t] != c || stamp[t] == int32(u+1) {
 				continue
 			}
-			a, b := u, t
-			if a > b {
-				a, b = b, a
-			}
-			seen[pairKey{a, b}] = true
+			stamp[t] = int32(u + 1)
+			pairs[c]++
 		}
 	}
-	return 2 * float64(len(seen)) / (float64(v) * float64(v-1))
+	out := make([]float64, k)
+	for c, v := range size {
+		if v >= 2 {
+			out[c] = 2 * float64(pairs[c]) / (float64(v) * float64(v-1))
+		}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,24 +202,161 @@ func TestModularityBounds(t *testing.T) {
 	}
 }
 
+// subgraphDensity is the map-based w(C) of one member set: the oracle the
+// one-pass CommunityDensities must reproduce exactly.
+func subgraphDensity(g *Graph, members []int) float64 {
+	v := len(members)
+	if v < 2 {
+		return 0
+	}
+	in := make(map[int]bool, v)
+	for _, u := range members {
+		in[u] = true
+	}
+	type pairKey struct{ a, b int }
+	seen := make(map[pairKey]bool)
+	for _, u := range members {
+		g.Neighbors(u, func(t int, _ float64) {
+			if !in[t] || t == u {
+				return
+			}
+			seen[pairKey{min(u, t), max(u, t)}] = true
+		})
+	}
+	return 2 * float64(len(seen)) / (float64(v) * float64(v-1))
+}
+
 func TestSubgraphDensity(t *testing.T) {
 	g := New(5)
 	clique(t, g, []int{0, 1, 2}, 1)
-	if got := g.SubgraphDensity([]int{0, 1, 2}); math.Abs(got-1) > 1e-12 {
+	density := func(labels []int, c int) float64 {
+		k := 0
+		for _, l := range labels {
+			k = max(k, l+1)
+		}
+		return g.CommunityDensities(labels, k)[c]
+	}
+	if got := density([]int{0, 0, 0, 1, 2}, 0); math.Abs(got-1) > 1e-12 {
 		t.Errorf("triangle density = %g, want 1", got)
 	}
-	if got := g.SubgraphDensity([]int{0, 1, 2, 3}); math.Abs(got-0.5) > 1e-12 {
+	if got := density([]int{0, 0, 0, 0, 1}, 0); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("triangle+isolate density = %g, want 0.5", got)
 	}
-	if got := g.SubgraphDensity([]int{4}); got != 0 {
+	if got := density([]int{0, 0, 0, 0, 1}, 1); got != 0 {
 		t.Errorf("singleton density = %g, want 0", got)
 	}
 	// Parallel edges must not inflate density.
 	if err := g.AddEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.SubgraphDensity([]int{0, 1, 2}); math.Abs(got-1) > 1e-12 {
+	if got := density([]int{0, 0, 0, 1, 2}, 0); math.Abs(got-1) > 1e-12 {
 		t.Errorf("density with parallel edge = %g, want 1", got)
+	}
+}
+
+// randomEdges draws an edge list over n nodes with duplicate pairs,
+// reversed duplicates and self-loops mixed in.
+func randomEdges(rng interface {
+	Intn(int) int
+	Float64() float64
+}, n, m int) []Edge {
+	edges := make([]Edge, 0, m)
+	for len(edges) < m {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		w := 0.05 + rng.Float64()
+		edges = append(edges, Edge{U: u, V: v, W: w})
+		switch rng.Intn(6) {
+		case 0:
+			edges = append(edges, Edge{U: u, V: v, W: w / 2}) // duplicate pair
+		case 1:
+			edges = append(edges, Edge{U: v, V: u, W: w}) // reversed duplicate
+		case 2:
+			edges = append(edges, Edge{U: u, V: u, W: w}) // self-loop
+		}
+	}
+	return edges
+}
+
+// FromEdges must build exactly the graph that AddEdge calls in the same
+// order build: per-node neighbour order, degrees, total weight and hence
+// Louvain labels.
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := stats.NewRand(seed, "from-edges")
+		n := 5 + rng.Intn(60)
+		edges := randomEdges(rng, n, rng.Intn(4*n))
+		want := New(n)
+		for _, e := range edges {
+			if err := want.AddEdge(int(e.U), int(e.V), e.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := FromEdges(n, edges)
+		for u := 0; u < n; u++ {
+			if !slices.Equal(got.adj[u], want.adj[u]) {
+				t.Fatalf("seed %d: node %d neighbours = %v, want %v", seed, u, got.adj[u], want.adj[u])
+			}
+			if got.Degree(u) != want.Degree(u) {
+				t.Fatalf("seed %d: Degree(%d) = %g, want %g", seed, u, got.Degree(u), want.Degree(u))
+			}
+		}
+		if got.TotalWeight() != want.TotalWeight() {
+			t.Fatalf("seed %d: TotalWeight = %g, want %g", seed, got.TotalWeight(), want.TotalWeight())
+		}
+		for _, ls := range []int64{1, 7, 42} {
+			if g, w := got.Louvain(ls), want.Louvain(ls); !slices.Equal(g, w) {
+				t.Fatalf("seed %d, Louvain(%d): labels %v, want %v", seed, ls, g, w)
+			}
+		}
+		// A later AddEdge on node 0 must not write into node 1's part of
+		// the shared backing array (n >= 5, so the new edge skips node 1).
+		before := slices.Clone(got.adj[1])
+		if err := got.AddEdge(0, n-1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.adj[1], before) {
+			t.Fatalf("seed %d: AddEdge after FromEdges clobbered node 1", seed)
+		}
+	}
+}
+
+func TestFromEdgesRejectsInvalid(t *testing.T) {
+	for _, e := range []Edge{{U: 0, V: 3, W: 1}, {U: -1, V: 0, W: 1}, {U: 0, V: 1, W: 0}, {U: 0, V: 1, W: math.NaN()}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromEdges accepted %+v", e)
+				}
+			}()
+			FromEdges(3, []Edge{e})
+		}()
+	}
+}
+
+// The one-pass densities must equal the per-community map oracle, for
+// Louvain and connected-component labellings of graphs with parallel
+// edges.
+func TestCommunityDensitiesMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := stats.NewRand(seed, "densities")
+		n := 2 + rng.Intn(80)
+		g := FromEdges(n, randomEdges(rng, n, rng.Intn(3*n)))
+		comps := g.ConnectedComponents()
+		cc := make([]int, n)
+		for c, members := range comps {
+			for _, v := range members {
+				cc[v] = c
+			}
+		}
+		for name, labels := range map[string][]int{"louvain": g.Louvain(seed), "components": cc} {
+			groups := Communities(labels)
+			got := g.CommunityDensities(labels, len(groups))
+			for c, members := range groups {
+				if want := subgraphDensity(g, members); got[c] != want {
+					t.Fatalf("seed %d %s: community %d density = %g, want %g", seed, name, c, got[c], want)
+				}
+			}
+		}
 	}
 }
 

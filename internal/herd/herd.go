@@ -13,6 +13,7 @@ import (
 	"sort"
 	"sync"
 
+	"smash/internal/graph"
 	"smash/internal/similarity"
 	"smash/internal/trace"
 	"smash/internal/whois"
@@ -72,21 +73,15 @@ func MineComponents(dim string, sg *similarity.ServerGraph, _ int64) []ASH {
 }
 
 func herdsFromGroups(dim string, sg *similarity.ServerGraph, labels []int) []ASH {
-	groups := make(map[int][]int)
-	for node, l := range labels {
-		groups[l] = append(groups[l], node)
-	}
+	groups := graph.Communities(labels)
+	densities := sg.G.CommunityDensities(labels, len(groups))
 	var herds []ASH
-	for _, members := range groups {
-		if len(members) < 2 {
-			continue
-		}
+	for c, members := range groups {
 		// Louvain communities are connected in practice, but guard against
 		// a community with no internal edges (can happen when every member
 		// is isolated yet got the same label): density 0 herds carry no
 		// evidence, drop them.
-		density := sg.G.SubgraphDensity(members)
-		if density == 0 {
+		if len(members) < 2 || densities[c] == 0 {
 			continue
 		}
 		names := make([]string, len(members))
@@ -94,7 +89,7 @@ func herdsFromGroups(dim string, sg *similarity.ServerGraph, labels []int) []ASH
 			names[i] = sg.Names[n]
 		}
 		sort.Strings(names)
-		herds = append(herds, ASH{Dimension: dim, Servers: names, Density: density})
+		herds = append(herds, ASH{Dimension: dim, Servers: names, Density: densities[c]})
 	}
 	sort.Slice(herds, func(i, j int) bool { return herds[i].Servers[0] < herds[j].Servers[0] })
 	for i := range herds {

@@ -25,15 +25,9 @@ func BuildPayloadGraph(idx *trace.Index, opts Options) *ServerGraph {
 			inc.Set(id, uint64(d))
 		}
 	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count),
-			len(nodes.Infos[a].Payloads),
-			len(nodes.Infos[b].Payloads))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
+	sg.G = graphFromPairs(len(nodes.Infos), inc.CoOccurrence(opts.MaxFanout), opts.MinSimilarity, func(p sparse.Pair) float64 {
+		return SetSim(int(p.Count), len(nodes.Infos[p.A].Payloads), len(nodes.Infos[p.B].Payloads))
+	})
 	return sg
 }
 
@@ -74,12 +68,8 @@ func BuildTemporalGraph(t *trace.Trace, idx *trace.Index, opts Options) *ServerG
 		windows[id][token] = struct{}{}
 		inc.Set(id, token)
 	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count), len(windows[a]), len(windows[b]))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
+	sg.G = graphFromPairs(len(nodes.Infos), inc.CoOccurrence(opts.MaxFanout), opts.MinSimilarity, func(p sparse.Pair) float64 {
+		return SetSim(int(p.Count), len(windows[p.A]), len(windows[p.B]))
+	})
 	return sg
 }

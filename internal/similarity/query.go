@@ -26,14 +26,8 @@ func BuildQueryGraph(idx *trace.Index, opts Options) *ServerGraph {
 			inc.Set(id, uint64(q))
 		}
 	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count),
-			len(nodes.Infos[a].Queries),
-			len(nodes.Infos[b].Queries))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
+	sg.G = graphFromPairs(len(nodes.Infos), inc.CoOccurrence(opts.MaxFanout), opts.MinSimilarity, func(p sparse.Pair) float64 {
+		return SetSim(int(p.Count), len(nodes.Infos[p.A].Queries), len(nodes.Infos[p.B].Queries))
+	})
 	return sg
 }

@@ -17,6 +17,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"smash/internal/graph"
 	"smash/internal/sparse"
@@ -103,92 +104,106 @@ func CharCosine(a, b string) float64 {
 }
 
 // fileSet is one server's URI files prepared for repeated eq. (7)
-// evaluations: the sorted full list plus the long-name sublist. Preparing
-// once per server (not once per candidate pair) is what keeps the file
-// dimension out of the profile.
+// evaluations: its interned file ids in ascending order plus the ids of
+// its long names. Ids from one symbol table are equal exactly when their
+// names are, so exact matches are integer compares and names are read only
+// for the long-name cosine test. Preparing once per server (not once per
+// candidate pair) is what keeps the file dimension out of the profile.
 type fileSet struct {
-	sorted []string // all files, sorted (FileList order)
-	long   []string // files longer than lenThreshold
+	ids  []uint32 // all file ids, ascending, no duplicates
+	long []uint32 // ids of the files longer than lenThreshold, ascending
 }
 
-func newFileSet(files []string, lenThreshold int) fileSet {
-	fs := fileSet{sorted: files}
-	for _, f := range files {
-		if len(f) > lenThreshold {
-			fs.long = append(fs.long, f)
+// appendLong appends the ids among ids whose names are longer than
+// lenThreshold.
+func appendLong(dst, ids []uint32, names []string, lenThreshold int) []uint32 {
+	for _, f := range ids {
+		if len(names[f]) > lenThreshold {
+			dst = append(dst, f)
 		}
 	}
-	return fs
+	return dst
 }
 
-// serverFileSimSets implements eq. (7) over two prepared file sets: the
-// product of (fraction of Si's files with a similar file on Sj) and the
-// converse fraction. Exact matches are found by a sorted merge walk; only
-// long names fall back to the pairwise cosine test.
-func serverFileSimSets(a, b fileSet, lenThreshold int, cosThreshold float64) float64 {
-	na, nb := len(a.sorted), len(b.sorted)
+// serverFileSimSets implements eq. (7) over two prepared file sets whose
+// ids resolve through names: the product of (fraction of Si's files with a
+// similar file on Sj) and the converse fraction. Exact matches are found by
+// a merge walk over the sorted ids; only long names fall back to the
+// pairwise cosine test.
+func serverFileSimSets(a, b fileSet, names []string, cosThreshold float64) float64 {
+	na, nb := len(a.ids), len(b.ids)
 	if na == 0 || nb == 0 {
 		return 0
 	}
-	// Exact intersection count via merge walk (lists are sorted and
-	// deduplicated). An exact match satisfies both directions at once.
+	// An exact match satisfies both directions at once.
 	exact := 0
 	for i, j := 0, 0; i < na && j < nb; {
 		switch {
-		case a.sorted[i] == b.sorted[j]:
+		case a.ids[i] == b.ids[j]:
 			exact++
 			i++
 			j++
-		case a.sorted[i] < b.sorted[j]:
+		case a.ids[i] < b.ids[j]:
 			i++
 		default:
 			j++
 		}
 	}
-	cosMatched := func(f string, other []string) bool {
-		for _, g := range other {
-			if f != g && CharCosine(f, g) > cosThreshold {
-				return true
-			}
+	return (float64(exact+cosMatches(a, b, names, cosThreshold)) / float64(na)) *
+		(float64(exact+cosMatches(b, a, names, cosThreshold)) / float64(nb))
+}
+
+// cosMatches counts x's long names that have no exact partner in y but
+// are cosine-similar to one of y's long names.
+func cosMatches(x, y fileSet, names []string, cosThreshold float64) int {
+	m := 0
+	for i, j := 0, 0; i < len(x.long); i++ {
+		f := x.long[i]
+		for j < len(y.ids) && y.ids[j] < f {
+			j++
 		}
-		return false
-	}
-	count := func(x, y fileSet) int {
-		m := exact
-		// Long names without an exact partner may still match by cosine.
-		for i, j := 0, 0; i < len(x.long); i++ {
-			f := x.long[i]
-			for j < len(y.sorted) && y.sorted[j] < f {
-				j++
-			}
-			if j < len(y.sorted) && y.sorted[j] == f {
-				continue // already counted as exact
-			}
-			if cosMatched(f, y.long) {
+		if j < len(y.ids) && y.ids[j] == f {
+			continue // already counted as exact
+		}
+		// f is not in y, so every g below is a different name.
+		for _, g := range y.long {
+			if CharCosine(names[f], names[g]) > cosThreshold {
 				m++
+				break
 			}
 		}
-		return m
 	}
-	return (float64(count(a, b)) / float64(na)) * (float64(count(b, a)) / float64(nb))
+	return m
 }
 
 // ServerFileSim implements eq. (7): the product of (fraction of Si's files
 // that have a similar file on Sj) and the converse fraction. Inputs are
 // treated as file *sets* (the paper's formulation): they need not be
 // sorted, and duplicate entries collapse before the fractions are taken.
-// Hot paths prepare fileSets once per server and use the internal sorted
-// form instead.
+// The two lists are interned into one local symbol table and scored by the
+// same id-based code the file dimension runs.
 func ServerFileSim(filesA, filesB []string, lenThreshold int, cosThreshold float64) float64 {
-	dedup := func(files []string) []string {
-		s := append([]string(nil), files...)
-		sort.Strings(s)
-		return slices.Compact(s)
+	ids := make(map[string]uint32, len(filesA)+len(filesB))
+	var names []string
+	prepare := func(files []string) fileSet {
+		var fs fileSet
+		for _, f := range files {
+			id, ok := ids[f]
+			if !ok {
+				id = uint32(len(names))
+				ids[f] = id
+				names = append(names, f)
+			}
+			fs.ids = append(fs.ids, id)
+		}
+		slices.Sort(fs.ids)
+		fs.ids = slices.Compact(fs.ids)
+		fs.long = appendLong(nil, fs.ids, names, lenThreshold)
+		return fs
 	}
-	return serverFileSimSets(
-		newFileSet(dedup(filesA), lenThreshold),
-		newFileSet(dedup(filesB), lenThreshold),
-		lenThreshold, cosThreshold)
+	a := prepare(filesA)
+	b := prepare(filesB)
+	return serverFileSimSets(a, b, names, cosThreshold)
 }
 
 // ServerGraph is a similarity graph whose nodes are server keys.
@@ -203,12 +218,34 @@ type ServerGraph struct {
 	IDs map[string]int
 }
 
-// newServerGraph allocates a ServerGraph over the index's cached node
-// table, so node ids are deterministic (sorted server keys) and the sort
-// happens once per index rather than once per dimension.
+// newServerGraph starts a ServerGraph over the index's cached node table,
+// so node ids are deterministic (sorted server keys) and the sort happens
+// once per index rather than once per dimension. The builder sets G.
 func newServerGraph(idx *trace.Index) (*ServerGraph, *trace.NodeTable) {
 	nodes := idx.Nodes()
-	return &ServerGraph{G: graph.New(len(nodes.Names)), Names: nodes.Names, IDs: nodes.IDs}, nodes
+	return &ServerGraph{Names: nodes.Names, IDs: nodes.IDs}, nodes
+}
+
+// edgePool recycles the builders' edge lists: FromEdges copies the edges
+// into the graph's own arrays, so the list is free once the graph is built.
+var edgePool = sync.Pool{New: func() any { return new([]graph.Edge) }}
+
+// graphFromPairs scores every candidate pair and builds the graph of the
+// pairs whose score is positive and at least minSim. The pairs are sorted
+// by (A, B), so every node's neighbours come out in the same order as
+// AddEdge calls over the pairs would give.
+func graphFromPairs(n int, pairs []sparse.Pair, minSim float64, score func(p sparse.Pair) float64) *graph.Graph {
+	buf := edgePool.Get().(*[]graph.Edge)
+	edges := (*buf)[:0]
+	for _, p := range pairs {
+		if sim := score(p); sim > 0 && sim >= minSim {
+			edges = append(edges, graph.Edge{U: p.A, V: p.B, W: sim})
+		}
+	}
+	g := graph.FromEdges(n, edges)
+	*buf = edges
+	edgePool.Put(buf)
+	return g
 }
 
 // Options tunes the similarity graph builders.
@@ -284,16 +321,12 @@ func BuildClientGraph(idx *trace.Index, opts Options) *ServerGraph {
 			inc.Set(id, uint64(c))
 		}
 	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
+	sg.G = graphFromPairs(len(nodes.Infos), inc.CoOccurrence(opts.MaxFanout), opts.MinSimilarity, func(p sparse.Pair) float64 {
 		if int(p.Count) < opts.MinSharedFeatures {
-			continue
+			return 0
 		}
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count), len(nodes.Infos[a].Clients), len(nodes.Infos[b].Clients))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
+		return SetSim(int(p.Count), len(nodes.Infos[p.A].Clients), len(nodes.Infos[p.B].Clients))
+	})
 	return sg
 }
 
@@ -308,13 +341,9 @@ func BuildIPGraph(idx *trace.Index, opts Options) *ServerGraph {
 			inc.Set(id, uint64(ip))
 		}
 	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := SetSim(int(p.Count), len(nodes.Infos[a].IPs), len(nodes.Infos[b].IPs))
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
+	sg.G = graphFromPairs(len(nodes.Infos), inc.CoOccurrence(opts.MaxFanout), opts.MinSimilarity, func(p sparse.Pair) float64 {
+		return SetSim(int(p.Count), len(nodes.Infos[p.A].IPs), len(nodes.Infos[p.B].IPs))
+	})
 	return sg
 }
 
@@ -364,26 +393,54 @@ func BuildFileGraph(idx *trace.Index, opts Options) *ServerGraph {
 		}
 	}
 
-	// File sets are prepared lazily: only servers that appear in candidate
-	// pairs pay the sort.
-	fileSets := make([]fileSet, len(nodes.Infos))
-	prepared := make([]bool, len(nodes.Infos))
-	setOf := func(id int) fileSet {
-		if !prepared[id] {
-			fileSets[id] = newFileSet(nodes.Infos[id].FileList(), opts.LenThreshold)
-			prepared[id] = true
-		}
-		return fileSets[id]
-	}
-
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := serverFileSimSets(setOf(a), setOf(b), opts.LenThreshold, opts.CosineThreshold)
-		if sim >= opts.MinSimilarity {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
+	pairs := inc.CoOccurrence(opts.MaxFanout)
+	sets := prepareFileSets(nodes.Infos, pairs, fileNames, opts.LenThreshold)
+	sg.G = graphFromPairs(len(nodes.Infos), pairs, opts.MinSimilarity, func(p sparse.Pair) float64 {
+		return serverFileSimSets(sets[p.A], sets[p.B], fileNames, opts.CosineThreshold)
+	})
 	return sg
+}
+
+// prepareFileSets builds the eq. (7) file set of every server that occurs
+// in a candidate pair; the other servers never pay the sort. All sets are
+// carved out of two shared backing arrays.
+func prepareFileSets(infos []*trace.ServerInfo, pairs []sparse.Pair, names []string, lenThreshold int) []fileSet {
+	need := make([]bool, len(infos))
+	for _, p := range pairs {
+		need[p.A], need[p.B] = true, true
+	}
+	total := 0
+	for id, ok := range need {
+		if ok {
+			total += len(infos[id].Files)
+		}
+	}
+	sets := make([]fileSet, len(infos))
+	ids := make([]uint32, 0, total)
+	nLong := 0
+	for id, ok := range need {
+		if !ok {
+			continue
+		}
+		start := len(ids)
+		for f := range infos[id].Files {
+			ids = append(ids, f)
+			if len(names[f]) > lenThreshold {
+				nLong++
+			}
+		}
+		slices.Sort(ids[start:])
+		sets[id].ids = ids[start:len(ids):len(ids)]
+	}
+	long := make([]uint32, 0, nLong)
+	for id, ok := range need {
+		if ok {
+			start := len(long)
+			long = appendLong(long, sets[id].ids, names, lenThreshold)
+			sets[id].long = long[start:len(long):len(long)]
+		}
+	}
+	return sets
 }
 
 // clusterLongNames groups long filenames into connected components of the
@@ -444,6 +501,7 @@ func BuildWhoisGraph(idx *trace.Index, reg whois.Registry, opts Options) *Server
 	opts = opts.normalized()
 	sg, nodes := newServerGraph(idx)
 	if reg == nil {
+		sg.G = graph.New(len(nodes.Names))
 		return sg
 	}
 	records := make(map[int]whois.Record)
@@ -459,12 +517,8 @@ func BuildWhoisGraph(idx *trace.Index, reg whois.Registry, opts Options) *Server
 			inc.SetString(id, token)
 		}
 	}
-	for _, p := range inc.CoOccurrence(opts.MaxFanout) {
-		a, b := int(p.A), int(p.B)
-		sim := whois.Similarity(records[a], records[b])
-		if sim > 0 {
-			_ = sg.G.AddEdge(a, b, sim)
-		}
-	}
+	sg.G = graphFromPairs(len(nodes.Infos), inc.CoOccurrence(opts.MaxFanout), 0, func(p sparse.Pair) float64 {
+		return whois.Similarity(records[int(p.A)], records[int(p.B)])
+	})
 	return sg
 }

@@ -20,9 +20,9 @@
 // no discriminating signal. The cap plays the same role for features that
 // the paper's IDF filter plays for servers.
 //
-// Incidences and their scratch buffers are pooled (Get/Release): the
-// streaming engine builds six of them per dimension per window, and reuse
-// keeps the per-window allocation profile flat.
+// Incidences, their scratch buffers and their co-occurrence pair buffers
+// are pooled (Get/Release): the streaming engine builds one per dimension
+// per window, and reuse keeps the per-window allocation profile flat.
 package sparse
 
 import (
@@ -40,6 +40,7 @@ type Incidence struct {
 	featRows   [][]int32        // feature id -> row ids (unsorted until finalize)
 	rowDegrees []int32          // row id -> number of distinct features
 	rowFeats   [][]int32        // row id -> feature ids (built by Finalize)
+	pairs      []Pair           // CoOccurrence result buffer, reused
 	finalized  bool
 }
 
@@ -194,6 +195,10 @@ func getScratch(n int) *coocScratch {
 // nonzeros of M·Mᵀ. Features whose fan-out exceeds maxFanout are skipped
 // (0 or negative means no cap). The result is sorted by (A, B).
 //
+// The returned slice is the incidence's own pair buffer, pooled with it: it
+// stays valid until the next CoOccurrence call on m, Reset or Release.
+// Callers that need the pairs longer must copy them.
+//
 // The product is computed row-wise against a pooled dense accumulator:
 // for each row a, the counts of all partners b > a are accumulated by
 // array indexing, then swept in sorted order — no hashing, no per-pair
@@ -204,7 +209,7 @@ func (m *Incidence) CoOccurrence(maxFanout int) []Pair {
 	defer scratchPool.Put(s)
 	counts := s.counts
 	touched := s.touched[:0]
-	var pairs []Pair
+	pairs := m.pairs[:0]
 	for a := 0; a < m.nRows; a++ {
 		for _, f := range m.rowFeats[a] {
 			rows := m.featRows[f]
@@ -231,25 +236,8 @@ func (m *Incidence) CoOccurrence(maxFanout int) []Pair {
 		touched = touched[:0]
 	}
 	s.touched = touched
+	m.pairs = pairs
 	return pairs
-}
-
-// CoOccurrenceFunc streams co-occurring pairs to fn without materializing
-// the pair list, for callers that aggregate on the fly. Pairs arrive in
-// unspecified order and a pair may be visited multiple times (once per
-// shared feature); fn receives the per-feature increment.
-func (m *Incidence) CoOccurrenceFunc(maxFanout int, fn func(a, b int32)) {
-	m.Finalize()
-	for _, rows := range m.featRows {
-		if maxFanout > 0 && len(rows) > maxFanout {
-			continue
-		}
-		for i := 0; i < len(rows); i++ {
-			for j := i + 1; j < len(rows); j++ {
-				fn(rows[i], rows[j])
-			}
-		}
-	}
 }
 
 // SkippedFeatures reports how many features exceed the fan-out cap, for

@@ -114,19 +114,6 @@ func TestCoOccurrenceMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestCoOccurrenceFunc(t *testing.T) {
-	m := NewIncidence(2)
-	m.Set(0, 1)
-	m.Set(1, 1)
-	m.Set(0, 2)
-	m.Set(1, 2)
-	total := 0
-	m.CoOccurrenceFunc(0, func(a, b int32) { total++ })
-	if total != 2 {
-		t.Errorf("visits = %d, want 2 (one per shared feature)", total)
-	}
-}
-
 func TestCoOccurrenceSorted(t *testing.T) {
 	m := NewIncidence(3)
 	for r := 2; r >= 0; r-- {
