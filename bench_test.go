@@ -267,7 +267,7 @@ func BenchmarkPipelineParallelMining(b *testing.B) {
 // replayed as one continuous stream, once as 1-day tumbling windows and
 // once as sliding windows (24h window, 6h stride) where each event belongs
 // to four overlapping windows — the configuration that exercises the
-// stride-fragment ring.
+// stride-piece ring.
 func BenchmarkStreamThroughput(b *testing.B) {
 	_, _, wk := benchWorlds(b)
 	var events []trace.Request

@@ -48,8 +48,8 @@
 //     rotation-following file tailer with byte-offset checkpoints, and
 //     the bounded queue behind the HTTP push intake
 //   - internal/trace       — HTTP traffic model, TSV codec, interned-ID
-//     server index (shared symbol tables, counted aggregates with exact
-//     Merge/Unmerge)
+//     server index (shared symbol tables, counted aggregates merged by
+//     integer folds)
 //   - internal/intern      — dense string↔uint32 interning tables
 //   - internal/similarity  — the four dimension metrics and graph builders
 //   - internal/graph       — weighted graphs + Louvain community detection

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"log/slog"
 	"time"
 
@@ -84,15 +83,9 @@ type AggregatorConfig struct {
 type Aggregator struct {
 	*assembler
 
-	cfg AggregatorConfig
-	det *core.Detector
-	tk  *tracker.Tracker
-
-	// Latency instruments; all nil (and so no-ops) without Metrics.
-	mDetect       *obs.Histogram
-	mStage, mSink map[string]*obs.Histogram
-
-	out chan stream.WindowResult
+	cfg    AggregatorConfig
+	commit *stream.Committer
+	out    chan stream.WindowResult
 }
 
 // NewAggregator validates the config and builds an aggregator.
@@ -115,22 +108,21 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if cfg.Name == "" {
 		cfg.Name = "smashd"
 	}
-	if cfg.Tracker == nil {
-		cfg.Tracker = tracker.New()
-	}
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = 64
 	}
 	a := &Aggregator{
 		cfg: cfg,
-		det: core.New(cfg.Detector...),
-		tk:  cfg.Tracker,
+		commit: stream.NewCommitter(stream.Config{
+			Name: cfg.Name, Detector: cfg.Detector, Tracker: cfg.Tracker, Sinks: cfg.Sinks,
+			Metrics: cfg.Metrics, Tracer: cfg.Tracer, Logger: cfg.Logger,
+		}),
 		out: make(chan stream.WindowResult, 1),
 	}
 	var mWait, mSealCommit, mHop, mE2E *obs.Histogram
-	// Histogram families shared with the stream engine keep the engine's
-	// help text: registering the same name twice with one registry must
-	// agree on metadata.
+	// smash_seal_commit_seconds is shared with the stream engine and keeps
+	// its help text: registering the same name twice with one registry
+	// must agree on metadata.
 	if reg := cfg.Metrics; reg != nil {
 		mWait = reg.Histogram("smash_cluster_fragment_wait_seconds",
 			"Wall-clock from a cluster window's first fragment arrival to its seal.")
@@ -138,21 +130,8 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 			"Per-hop send-to-accept transit of incoming fragments (clamped at zero under clock skew).")
 		mE2E = reg.Histogram("smash_e2e_event_to_seal_seconds",
 			"Wall-clock from a window's event-time end to its seal here; live windows only (crash-recovery replays are excluded).")
-		a.mDetect = reg.Histogram("smash_window_detect_seconds",
-			"Wall-clock running the detection pipeline, per window.")
 		mSealCommit = reg.Histogram("smash_seal_commit_seconds",
 			"Wall-clock from a window's sealed index to its committed result (sinks done, result published).")
-		a.mStage = make(map[string]*obs.Histogram)
-		for _, s := range core.StageNames() {
-			a.mStage[s] = reg.Histogram("smash_pipeline_stage_seconds",
-				"Wall-clock per detection pipeline stage run.", "stage", s)
-		}
-		a.mSink = make(map[string]*obs.Histogram)
-		for _, s := range cfg.Sinks {
-			name := clusterSinkName(s)
-			a.mSink[name] = reg.Histogram("smash_sink_consume_seconds",
-				"Wall-clock per sink consume on the window commit path.", "sink", name)
-		}
 	}
 	var flog *FragLog
 	if cfg.FragDir != "" {
@@ -185,15 +164,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	return a, nil
 }
 
-// clusterSinkName labels a sink for spans and metrics (see
-// stream.NamedSink).
-func clusterSinkName(s stream.Sink) string {
-	if n, ok := s.(stream.NamedSink); ok {
-		return n.SinkName()
-	}
-	return "sink"
-}
-
 // Start launches the aggregation loop and returns the result channel. The
 // channel closes once every expected node has sent its final marker and
 // all pending windows have been flushed, or after Stop.
@@ -214,13 +184,13 @@ func (a *Aggregator) Start(ctx context.Context) <-chan stream.WindowResult {
 
 // Tracker exposes the cross-window lineage tracker (for end-of-run
 // summaries). Valid once the output channel has closed.
-func (a *Aggregator) Tracker() *tracker.Tracker { return a.tk }
+func (a *Aggregator) Tracker() *tracker.Tracker { return a.commit.Tracker() }
 
-// sealWindow is the aggregator's half of a seal: detection on the merged
-// index, tracker observation, delta derivation, sinks, and result
-// publication — the same commit path a standalone stream engine drives.
-// The hop trail was already folded into spans by the assembler; the
-// aggregator is the tree's root, so it forwards the trail nowhere.
+// sealWindow is the aggregator's half of a seal: the merged window goes
+// through the same stream.Committer a standalone engine drives, so
+// cluster runs stay byte-identical to single-node runs. The hop trail was
+// already folded into spans by the assembler; the aggregator is the
+// tree's root, so it forwards the trail nowhere.
 func (a *Aggregator) sealWindow(ctx context.Context, w int64, seq int, start time.Time, merged *trace.Index, _ []wire.Hop, aborted bool) {
 	res := stream.WindowResult{
 		Seq:      seq,
@@ -229,53 +199,14 @@ func (a *Aggregator) sealWindow(ctx context.Context, w int64, seq int, start tim
 		Requests: merged.RequestCount,
 		Index:    merged,
 	}
-	if merged.RequestCount > 0 && !aborted && ctx.Err() == nil {
-		name := fmt.Sprintf("%s-w%d", a.cfg.Name, seq)
-		var extra []core.Observer
-		if a.tr != nil || a.mStage != nil {
-			extra = append(extra, stream.StageTraceObserver(a.tr, a.mStage, int64(seq)))
-		}
-		t0 := time.Now()
-		report, err := a.det.RunIndexContext(ctx, merged, merged.ComputeStats(name), extra...)
-		d := time.Since(t0)
-		if a.tr != nil {
-			attrs := []string(nil)
-			if err != nil {
-				attrs = []string{"error", err.Error()}
-			}
-			a.tr.Record(int64(seq), "detect", t0, d, attrs...)
-		}
-		a.mDetect.Observe(d.Seconds())
-		switch {
-		case err == nil:
-			res.Report = report
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	if !aborted {
+		var err error
+		if res.Report, err = a.commit.Detect(ctx, seq, merged); err != nil {
 			a.setErr(err)
-		default:
-			a.setErr(fmt.Errorf("cluster: window %d: %w", seq, err))
-			a.log.Error("window detection failed", "window", seq, "err", err)
 		}
 	}
-	report := res.Report
-	if report == nil {
-		report = &core.Report{}
-	}
-	res.Matches = a.tk.Observe(report)
-	// Retire deltas lead, mirroring the standalone engine's emit path
-	// so cluster runs stay byte-identical to single-node runs.
-	res.Deltas = append(stream.RetireDeltas(res.Seq, a.tk.RetiredNow()),
-		stream.DeltasFor(res.Seq, report.AllCampaigns(), res.Matches)...)
-	for _, s := range a.cfg.Sinks {
-		name := clusterSinkName(s)
-		t0 := time.Now()
-		err := s.Consume(&res)
-		d := time.Since(t0)
-		a.tr.Record(int64(seq), name, t0, d)
-		a.mSink[name].Observe(d.Seconds())
-		if err != nil {
-			a.setErr(fmt.Errorf("cluster: sink: %w", err))
-			a.log.Error("sink failed", "window", seq, "sink", name, "err", err)
-		}
+	if err := a.commit.Commit(&res); err != nil {
+		a.setErr(err)
 	}
 	a.out <- res
 }

@@ -292,7 +292,7 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 func (f *Forwarder) SinkName() string { return "forward" }
 
 // Consume implements stream.Sink: it ships the window's index to the
-// aggregator. The engine must run with Config.IndexOnly (or KeepIndex).
+// aggregator. The engine must run with Config.IndexOnly.
 //
 // With a spool configured, delivery failure is absorbed instead of
 // surfaced: a fragment whose attempts exhaust is written to disk and the

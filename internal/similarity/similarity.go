@@ -20,6 +20,7 @@ import (
 	"sync"
 
 	"smash/internal/graph"
+	"smash/internal/intern"
 	"smash/internal/sparse"
 	"smash/internal/trace"
 	"smash/internal/whois"
@@ -505,6 +506,7 @@ func BuildWhoisGraph(idx *trace.Index, reg whois.Registry, opts Options) *Server
 		return sg
 	}
 	records := make(map[int]whois.Record)
+	tokens := intern.NewTable()
 	inc := sparse.Get(len(nodes.Infos))
 	defer inc.Release()
 	for id, name := range nodes.Names {
@@ -514,7 +516,7 @@ func BuildWhoisGraph(idx *trace.Index, reg whois.Registry, opts Options) *Server
 		}
 		records[id] = rec
 		for _, token := range whois.FieldSignature(rec) {
-			inc.SetString(id, token)
+			inc.Set(id, uint64(tokens.ID(token)))
 		}
 	}
 	sg.G = graphFromPairs(len(nodes.Infos), inc.CoOccurrence(opts.MaxFanout), 0, func(p sparse.Pair) float64 {

@@ -11,8 +11,7 @@
 //
 // Rows are the caller's dense node ids (0..n-1); features are opaque
 // uint64 keys — interned symbol ids from the trace data plane, or composed
-// ids such as (client<<32|timebucket). A legacy SetString path interns
-// string features locally for callers without interned ids (whois tokens).
+// ids such as (client<<32|timebucket).
 //
 // A per-feature fan-out cap skips extremely popular features: a feature
 // shared by f rows contributes f(f-1)/2 pairs, so an unbounded hub feature
@@ -36,11 +35,10 @@ import (
 type Incidence struct {
 	nRows      int
 	featIDs    map[uint64]int32
-	strIDs     map[string]int32 // SetString feature keys; lazily allocated
-	featRows   [][]int32        // feature id -> row ids (unsorted until finalize)
-	rowDegrees []int32          // row id -> number of distinct features
-	rowFeats   [][]int32        // row id -> feature ids (built by Finalize)
-	pairs      []Pair           // CoOccurrence result buffer, reused
+	featRows   [][]int32 // feature id -> row ids (unsorted until finalize)
+	rowDegrees []int32   // row id -> number of distinct features
+	rowFeats   [][]int32 // row id -> feature ids (built by Finalize)
+	pairs      []Pair    // CoOccurrence result buffer, reused
 	finalized  bool
 }
 
@@ -56,9 +54,6 @@ func NewIncidence(nRows int) *Incidence {
 func (m *Incidence) Reset(nRows int) {
 	m.nRows = nRows
 	clear(m.featIDs)
-	if m.strIDs != nil {
-		clear(m.strIDs)
-	}
 	for i := range m.featRows {
 		m.featRows[i] = m.featRows[i][:0]
 	}
@@ -107,22 +102,6 @@ func (m *Incidence) Set(row int, feature uint64) {
 	if !ok {
 		f = m.newFeature()
 		m.featIDs[feature] = f
-	}
-	m.featRows[f] = append(m.featRows[f], int32(row))
-	m.finalized = false
-}
-
-// SetString is Set for callers whose features are strings without interned
-// ids (e.g. whois field-signature tokens). String and uint64 features live
-// in separate key spaces; mixing both in one Incidence is allowed.
-func (m *Incidence) SetString(row int, feature string) {
-	if m.strIDs == nil {
-		m.strIDs = make(map[string]int32)
-	}
-	f, ok := m.strIDs[feature]
-	if !ok {
-		f = m.newFeature()
-		m.strIDs[feature] = f
 	}
 	m.featRows[f] = append(m.featRows[f], int32(row))
 	m.finalized = false

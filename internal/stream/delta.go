@@ -27,9 +27,10 @@ type WindowResult struct {
 	Matches []tracker.Match
 	// Deltas describe how each campaign moved its lineage this window.
 	Deltas []Delta
-	// Index is the window's merged traffic index, populated only under
-	// Config.KeepIndex or Config.IndexOnly. Read-only: it is shared with
-	// every sink and may alias engine-internal state.
+	// Index is the window's merged traffic index, populated only by an
+	// engine under Config.IndexOnly and by the cluster aggregator; a
+	// detected window's index is Report.RawIndex. Read-only: it is shared
+	// with every sink and may alias engine-internal state.
 	Index *trace.Index
 }
 
@@ -124,8 +125,7 @@ func (d *Delta) Render() string {
 // DeltasFor classifies every tracker match of one window into deltas.
 // campaigns must be the report's AllCampaigns() slice the matches were
 // produced from. Exported for consumers that drive a tracker outside the
-// engine — internal/cluster's aggregator reuses it so cluster runs emit
-// exactly the deltas a single-node run would.
+// Committer.
 func DeltasFor(window int, campaigns []campaign.Campaign, matches []tracker.Match) []Delta {
 	var out []Delta
 	for i := range matches {
@@ -134,11 +134,11 @@ func DeltasFor(window int, campaigns []campaign.Campaign, matches []tracker.Matc
 	return out
 }
 
-// RetireDeltas converts the tracker's per-window retirement list
+// retireDeltas converts the tracker's per-window retirement list
 // (Tracker.RetiredNow) into retire deltas. Retirement happens before the
 // window's campaigns are matched, so these precede the window's other
-// deltas. Shared by the engine and the cluster aggregator for parity.
-func RetireDeltas(window int, ids []int) []Delta {
+// deltas.
+func retireDeltas(window int, ids []int) []Delta {
 	if len(ids) == 0 {
 		return nil
 	}

@@ -22,3 +22,21 @@ package stream
 type Sink interface {
 	Consume(w *WindowResult) error
 }
+
+// NamedSink is an optional Sink refinement: a sink that names itself gets
+// its own consume-latency histogram series and lifecycle span ("store"
+// for the durable store, "forward" for the cluster forwarder) instead of
+// the generic "sink" label.
+type NamedSink interface {
+	Sink
+	// SinkName returns a short stable label for spans and metric labels.
+	SinkName() string
+}
+
+// sinkName labels a sink for spans and metrics.
+func sinkName(s Sink) string {
+	if n, ok := s.(NamedSink); ok {
+		return n.SinkName()
+	}
+	return "sink"
+}

@@ -29,19 +29,22 @@
 //
 // # Incremental sliding windows
 //
-// When the stride divides the window (every tumbling config, and any
-// sliding config with window = k*stride), windows are maintained
-// incrementally: shards accumulate one fragment per *stride* — each event
-// is indexed exactly once, not once per overlapping window — and a
-// single sealer goroutine keeps a ring of the k live per-stride merged
-// fragments. Sealing window w evicts the expired fragment (which becomes
-// the window index, zero-copy) and folds in only the fragments that
-// arrived since the previous seal, instead of re-merging window/stride
-// fragments from scratch. All indexes share one trace.Symbols, so every
-// merge on this path is a pure integer-map fold. Configurations whose
-// stride does not divide the window fall back to the per-window fragment
-// path; both paths produce byte-identical output (see
-// TestIncrementalMatchesLegacyWindowing).
+// Every configuration shares one windowing path, a ring of stride
+// pieces. With window W = q*S + r for stride S, stride i is cut at offset
+// r into pieces 2i and 2i+1, so window w is exactly pieces [2w, 2(w+q)]:
+// at most 2q+1 pieces however W and S relate. This is the "pairs" cut
+// (Krishnamurthy et al., SIGMOD 2006); the gcd(W, S) "panes" cut (Li et
+// al., SIGMOD Record 2005) would need W/gcd fragments per window, 60 for
+// 1h/59m. When S divides W every even piece is empty and the ring holds
+// one fragment per stride. Shards index each event exactly once, into
+// its piece, and a single sealer goroutine keeps the ring of live
+// pieces. Sealing window w adopts the first non-empty expiring piece (2w
+// or 2w+1) as the window index, zero-copy, and merges the other and the
+// live pieces on top. All indexes share one trace.Symbols, so every merge
+// on this path is a pure integer-map fold.
+//
+// Detection, tracking, deltas and sinks run through a Committer, the
+// commit path internal/cluster's aggregator shares.
 //
 // The engine is deterministic for a fixed input order and configuration:
 // shard and worker counts change wall-clock time, never output.
@@ -108,14 +111,9 @@ type Config struct {
 	// Sinks receive every emitted WindowResult in window order, before it
 	// is published on the output channel (see Sink).
 	Sinks []Sink
-	// KeepIndex publishes each window's merged traffic index on
-	// WindowResult.Index (read-only for consumers). Off by default: the
-	// index is normally garbage the moment detection finishes, and keeping
-	// it alive extends its lifetime to the consumer's.
-	KeepIndex bool
 	// IndexOnly turns the engine into a pure windowing node: sealed
 	// windows skip detection and the tracker entirely and are emitted with
-	// only their index populated (implies KeepIndex). This is cluster
+	// only their index populated on WindowResult.Index. This is cluster
 	// ingest mode — internal/cluster's Forwarder consumes the indexes and
 	// ships them to an aggregator that runs detection over the merged
 	// cluster-wide window.
@@ -150,10 +148,9 @@ type Stats struct {
 // with Start, consume the returned channel, then inspect Err, Stats and
 // Tracker.
 type Engine struct {
-	cfg Config
-	det *core.Detector
-	tk  *tracker.Tracker
-	out chan WindowResult
+	cfg    Config
+	commit *Committer
+	out    chan WindowResult
 	// o bundles the observability wiring (tracer, logger, instruments);
 	// its zero value is fully inert, so unwired engines pay only nil
 	// checks on the hot path.
@@ -165,9 +162,6 @@ type Engine struct {
 	// windower rotates epochs every Config.RotateSymbolsEvery windows to
 	// bound table growth on endless streams.
 	syms atomic.Pointer[trace.Symbols]
-	// forceLegacy disables the stride-fragment ring (tests compare the
-	// incremental path against this reference path).
-	forceLegacy bool
 
 	// ctx is the run context given to StartContext; its cancellation
 	// stops ingestion and aborts in-flight window detections.
@@ -216,22 +210,18 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Name == "" {
 		cfg.Name = "stream"
 	}
-	if cfg.Tracker == nil {
-		cfg.Tracker = tracker.New()
-	}
 	if cfg.RotateSymbolsEvery == 0 {
 		cfg.RotateSymbolsEvery = DefaultRotateSymbolsEvery
 	}
 	e := &Engine{
-		cfg:  cfg,
-		det:  core.New(cfg.Detector...),
-		tk:   cfg.Tracker,
-		out:  make(chan WindowResult, cfg.Workers),
-		done: make(chan struct{}),
-		quit: make(chan struct{}),
+		cfg:    cfg,
+		commit: NewCommitter(cfg),
+		out:    make(chan WindowResult, cfg.Workers),
+		done:   make(chan struct{}),
+		quit:   make(chan struct{}),
 	}
 	e.syms.Store(trace.NewSymbols())
-	e.o = newEngineObs(cfg.Metrics, cfg.Tracer, cfg.Logger, cfg.Sinks)
+	e.o = newEngineObs(cfg.Metrics, cfg.Tracer, cfg.Logger)
 	return e, nil
 }
 
@@ -242,16 +232,6 @@ const DefaultRotateSymbolsEvery = 128
 
 // symbols returns the current symbol-table epoch.
 func (e *Engine) symbols() *trace.Symbols { return e.syms.Load() }
-
-// ringStrides returns the number of strides per window when the
-// incremental ring applies (stride divides window), or 0 for the
-// per-window fragment fallback.
-func (e *Engine) ringStrides() int64 {
-	if e.forceLegacy || e.cfg.Window%e.cfg.Stride != 0 {
-		return 0
-	}
-	return int64(e.cfg.Window / e.cfg.Stride)
-}
 
 // Start launches the pipeline over src and returns the result channel. The
 // channel closes once the source is exhausted (or Stop is called) and every
@@ -343,7 +323,7 @@ func (e *Engine) Stats() Stats {
 
 // Tracker exposes the cross-window lineage tracker (for end-of-run
 // summaries). Valid once the output channel has closed.
-func (e *Engine) Tracker() *tracker.Tracker { return e.tk }
+func (e *Engine) Tracker() *tracker.Tracker { return e.commit.Tracker() }
 
 func (e *Engine) setErr(err error) {
 	e.errMu.Lock()
@@ -407,64 +387,47 @@ type windowDone struct {
 	start, end time.Time
 	requests   int
 	report     *core.Report // nil for empty windows
-	idx        *trace.Index // set when KeepIndex/IndexOnly
+	idx        *trace.Index // set under IndexOnly
 	sealedAt   time.Time    // when the merged index was ready
 }
 
-// shardMsg is either an event assignment (reply fields nil) or a seal
-// barrier. Channel FIFO ordering guarantees a barrier arrives after every
-// event dispatched before it.
-//
-// Legacy path (per-window fragments): events carry the inclusive window
-// range [lo, hi] and the barrier (replyOne) hands over one window's
-// fragment. Ring path (per-stride fragments): events carry their single
-// stride seq in lo and the barrier (replyAll) hands over every fragment
-// with seq <= sealMax.
+// shardMsg is either an event assignment (reply nil) or a seal barrier.
+// Channel FIFO ordering guarantees a barrier arrives after every event
+// dispatched before it. An event carries its piece number; a barrier
+// hands over every fragment with piece <= sealMax.
 type shardMsg struct {
-	req      trace.Request
-	lo, hi   int64
-	sealMax  int64
-	replyOne chan<- *trace.Index
-	replyAll chan<- map[int64]*trace.Index
+	req     trace.Request
+	piece   int64
+	sealMax int64
+	reply   chan<- map[int64]*trace.Index
 }
 
-// shardLoop owns one shard's index fragments, keyed by window seq (legacy)
-// or stride seq (ring). All fragments share the engine Symbols.
+// shardLoop owns one shard's index fragments, keyed by piece. All
+// fragments share the engine Symbols.
 func (e *Engine) shardLoop(ch <-chan shardMsg) {
 	frags := make(map[int64]*trace.Index)
 	for m := range ch {
-		switch {
-		case m.replyOne != nil:
-			frag := frags[m.sealMax]
-			delete(frags, m.sealMax)
+		if m.reply == nil {
+			frag := frags[m.piece]
 			if frag == nil {
 				frag = trace.NewIndexWith(e.symbols())
+				frags[m.piece] = frag
 			}
-			m.replyOne <- frag
-		case m.replyAll != nil:
-			// Hand over (and forget) every fragment the sealer may now
-			// need. Ownership transfers: the shard never touches a
-			// handed-over fragment again; a late event for the same
-			// stride simply starts a fresh fragment that the next
-			// barrier delivers as a delta.
-			out := make(map[int64]*trace.Index, 4)
-			for s, frag := range frags {
-				if s <= m.sealMax {
-					out[s] = frag
-					delete(frags, s)
-				}
-			}
-			m.replyAll <- out
-		default:
-			for s := m.lo; s <= m.hi; s++ {
-				frag := frags[s]
-				if frag == nil {
-					frag = trace.NewIndexWith(e.symbols())
-					frags[s] = frag
-				}
-				frag.Add(&m.req)
+			frag.Add(&m.req)
+			continue
+		}
+		// Hand over (and forget) every fragment the sealer may now need.
+		// Ownership transfers: the shard never touches a handed-over
+		// fragment again; a late event for the same piece simply starts a
+		// fresh fragment that the next barrier delivers as a delta.
+		out := make(map[int64]*trace.Index, 4)
+		for p, frag := range frags {
+			if p <= m.sealMax {
+				out[p] = frag
+				delete(frags, p)
 			}
 		}
+		m.reply <- out
 	}
 }
 
@@ -477,35 +440,48 @@ type sealReq struct {
 	replies <-chan map[int64]*trace.Index
 }
 
-// sealer is the single goroutine that owns the stride-fragment ring. For
-// every sealed window it folds the newly handed-over shard fragments into
-// the ring, evicts the expired stride fragment — which becomes the window
-// index, zero-copy — and merges the k-1 still-live fragments on top. It
-// runs strictly in window order, pipelined behind the windower.
-func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, k int64, nShards int, slots <-chan struct{}) {
+// pieceOf returns the piece holding offset dt (>= 0) from the origin:
+// stride i = dt/stride is cut at window%stride into pieces 2i and 2i+1.
+func pieceOf(dt, window, stride time.Duration) int64 {
+	p := 2 * int64(dt/stride)
+	if dt%stride >= window%stride {
+		p++
+	}
+	return p
+}
+
+// sealer is the single goroutine that owns the piece ring. For window w
+// it folds the newly handed-over shard fragments into the ring, which
+// then holds exactly the non-empty pieces of [2w, 2(w+⌊W/S⌋)]. Pieces 2w
+// and 2w+1 expire with w: the first non-empty one becomes the window
+// index, zero-copy, and the other and every live piece are merged on top.
+// It runs strictly in window order, pipelined behind the windower.
+func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, nShards int, slots <-chan struct{}) {
 	defer close(jobs)
 	ring := make(map[int64]*trace.Index)
 	for r := range reqs {
 		for i := 0; i < nShards; i++ {
-			for s, frag := range <-r.replies {
-				if cur := ring[s]; cur == nil {
-					ring[s] = frag
+			for p, frag := range <-r.replies {
+				if cur := ring[p]; cur == nil {
+					ring[p] = frag
 				} else {
 					cur.Merge(frag)
 				}
 			}
 		}
-		// The expired fragment is exactly the part of the window no later
-		// window needs — adopt it as the window index instead of copying.
-		merged := ring[r.seq]
-		delete(ring, r.seq)
-		if merged == nil {
+		merged, other := ring[2*r.seq], ring[2*r.seq+1]
+		delete(ring, 2*r.seq)
+		delete(ring, 2*r.seq+1)
+		switch {
+		case merged == nil && other == nil:
 			merged = trace.NewIndexWith(e.symbols())
+		case merged == nil:
+			merged = other
+		case other != nil:
+			merged.Merge(other)
 		}
-		for s := r.seq + 1; s < r.seq+k; s++ {
-			if frag := ring[s]; frag != nil {
-				merged.Merge(frag)
-			}
+		for _, frag := range ring {
+			merged.Merge(frag)
 		}
 		r.job.idx = merged
 		e.o.finishSeal(&r.job)
@@ -514,11 +490,12 @@ func (e *Engine) sealer(reqs <-chan sealReq, jobs chan<- windowJob, k int64, nSh
 	}
 }
 
-// windower assigns events to windows, advances the watermark, and seals
+// windower assigns events to pieces, advances the watermark, and seals
 // windows in order. It owns all window bookkeeping; shards only aggregate.
 func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 	nShards := e.cfg.Shards
-	ringK := e.ringStrides()
+	// lastPiece is the offset from a window's first piece to its last.
+	lastPiece := 2 * int64(e.cfg.Window/e.cfg.Stride)
 	shardCh := make([]chan shardMsg, nShards)
 	var shardWG sync.WaitGroup
 	for i := range shardCh {
@@ -538,8 +515,7 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 		base      int64 // seq of the first window; emitted as Seq 0
 		nextSeal  int64 // next window seq to seal
 		maxSeq    int64 // highest window seq holding any event
-		sealWG    sync.WaitGroup
-		sealCh    chan sealReq
+		sealCh    = make(chan sealReq, e.cfg.Workers)
 		// sealSlots bounds sealed-but-undetected windows so a slow
 		// consumer backpressures ingestion instead of growing memory.
 		sealSlots = make(chan struct{}, 2*e.cfg.Workers)
@@ -551,10 +527,7 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 	if e.o.tr != nil || e.o.ingestSeal != nil {
 		firstSeen = make(map[int64]time.Time)
 	}
-	if ringK > 0 {
-		sealCh = make(chan sealReq, e.cfg.Workers)
-		go e.sealer(sealCh, jobs, ringK, nShards, sealSlots)
-	}
+	go e.sealer(sealCh, jobs, nShards, sealSlots)
 
 	// afterSeal rotates the symbol-table epoch on schedule. Fragments and
 	// ring entries from the old epoch merge through the name-remap path,
@@ -580,30 +553,11 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 			delete(firstSeen, seq)
 		}
 		e.o.beginSeal(&job)
-		if ringK > 0 {
-			replies := make(chan map[int64]*trace.Index, nShards)
-			for _, ch := range shardCh {
-				ch <- shardMsg{sealMax: seq + ringK - 1, replyAll: replies}
-			}
-			sealCh <- sealReq{seq: seq, job: job, replies: replies}
-			return
-		}
-		replies := make(chan *trace.Index, nShards)
+		replies := make(chan map[int64]*trace.Index, nShards)
 		for _, ch := range shardCh {
-			ch <- shardMsg{sealMax: seq, replyOne: replies}
+			ch <- shardMsg{sealMax: 2*seq + lastPiece, reply: replies}
 		}
-		sealWG.Add(1)
-		go func() {
-			defer sealWG.Done()
-			defer func() { <-sealSlots }()
-			merged := trace.NewIndexWith(e.symbols())
-			for i := 0; i < nShards; i++ {
-				merged.Merge(<-replies)
-			}
-			job.idx = merged
-			e.o.finishSeal(&job)
-			jobs <- job
-		}()
+		sealCh <- sealReq{seq: seq, job: job, replies: replies}
 	}
 
 	handle := func(req trace.Request) {
@@ -616,7 +570,8 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 			}
 			originSet = true
 		}
-		lo, hi := seqRange(t.Sub(origin), e.cfg.Window, e.cfg.Stride)
+		dt := t.Sub(origin)
+		lo, hi := seqRange(dt, e.cfg.Window, e.cfg.Stride)
 		if hi < 0 { // entirely before the window origin
 			e.ctrLate.Add(1)
 			return
@@ -632,7 +587,9 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 			e.ctrLate.Add(1)
 			return
 		}
-		if lo < nextSeal { // partially late: only still-open windows get it
+		// Partially late: only still-open windows get it. Its piece needs
+		// no clipping — the ring hands it only to windows not yet sealed.
+		if lo < nextSeal {
 			lo = nextSeal
 		}
 		if hi > maxSeq {
@@ -648,14 +605,7 @@ func (e *Engine) windower(events <-chan trace.Request, jobs chan<- windowJob) {
 			}
 		}
 		shard := shardCh[shardOf(e.symbols().RequestServerKey(&req), nShards)]
-		if ringK > 0 {
-			// One fragment per stride: the event's stride is hi (the last
-			// window whose range starts at or before it). Windows
-			// [lo, hi] pick the fragment up from the ring at seal time.
-			shard <- shardMsg{req: req, lo: hi, hi: hi}
-		} else {
-			shard <- shardMsg{req: req, lo: lo, hi: hi}
-		}
+		shard <- shardMsg{req: req, piece: pieceOf(dt, e.cfg.Window, e.cfg.Stride)}
 
 		if t.After(maxTime) {
 			maxTime = t
@@ -717,12 +667,7 @@ ingest:
 		close(ch)
 	}
 	shardWG.Wait()
-	if ringK > 0 {
-		close(sealCh) // the sealer drains pending seals, then closes jobs
-		return
-	}
-	sealWG.Wait()
-	close(jobs)
+	close(sealCh) // the sealer drains pending seals, then closes jobs
 }
 
 // seqRange returns the inclusive range of window sequence numbers whose
@@ -767,38 +712,21 @@ func (e *Engine) detect(jobs <-chan windowJob, results chan<- windowDone) {
 	}
 	for j := range jobs {
 		d := windowDone{seq: j.seq, start: j.start, end: j.end, requests: j.idx.RequestCount, sealedAt: j.sealedAt}
-		if e.cfg.KeepIndex || e.cfg.IndexOnly {
+		if e.cfg.IndexOnly {
+			// Forward-only node: the sealed index is the product.
 			d.idx = j.idx
 		}
-		switch {
-		case e.cfg.IndexOnly:
-			// Forward-only node: the sealed index is the product.
-		case ctx.Err() != nil:
-			// Hard shutdown: don't pay ComputeStats for a detection that
-			// would abort before its first stage — flow through report-less.
-			e.setErr(ctx.Err())
-		case j.idx.RequestCount > 0:
-			name := fmt.Sprintf("%s-w%d", e.cfg.Name, j.seq)
-			t0 := time.Now()
-			report, err := e.det.RunIndexContext(ctx, j.idx, j.idx.ComputeStats(name), e.o.stageObservers(int64(j.seq))...)
-			e.o.endDetect(int64(j.seq), t0, err)
-			switch {
-			case err == nil:
-				d.report = report
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				e.setErr(err)
-			default:
-				e.setErr(fmt.Errorf("stream: window %d: %w", j.seq, err))
-				e.o.log.Error("window detection failed", "window", j.seq, "err", err)
-			}
+		var err error
+		if d.report, err = e.commit.Detect(ctx, j.seq, j.idx); err != nil {
+			e.setErr(err)
 		}
 		results <- d
 	}
 }
 
 // sequence restores window order over out-of-order detection completions,
-// feeds each window through the tracker, and emits WindowResults. Running
-// single-threaded here is what makes worker count invisible in the output.
+// commits each window, and emits WindowResults. Running single-threaded
+// here is what makes worker count invisible in the output.
 func (e *Engine) sequence(results <-chan windowDone) {
 	defer close(e.done)
 	defer close(e.out)
@@ -818,39 +746,15 @@ func (e *Engine) sequence(results <-chan windowDone) {
 	}
 }
 
-// emit tracks one in-order window, feeds every sink, and publishes the
-// result.
+// emit commits one in-order window (tracker, deltas, sinks) and publishes
+// the result.
 func (e *Engine) emit(d windowDone) {
 	res := WindowResult{Seq: d.seq, Start: d.start, End: d.end, Requests: d.requests, Report: d.report, Index: d.idx}
-	if e.cfg.IndexOnly {
-		// Forward-only node: no detection ran, so there is nothing to
-		// track — sinks (the cluster forwarder) get the index as-is.
-		if d.requests == 0 {
-			e.ctrEmpty.Add(1)
-		}
-	} else {
-		report := d.report
-		if report == nil {
-			// Observe an empty report so lineage day arithmetic (FirstDay,
-			// LastDay, window gaps) stays aligned with the window sequence.
-			report = &core.Report{}
-			if d.requests == 0 {
-				// Report-less windows WITH requests are aborted, not empty.
-				e.ctrEmpty.Add(1)
-			}
-		}
-		matches := e.tk.Observe(report)
-		res.Matches = matches
-		// Retirements happened inside Observe before matching, so retire
-		// deltas lead the window's transition list.
-		res.Deltas = append(RetireDeltas(d.seq, e.tk.RetiredNow()),
-			DeltasFor(d.seq, report.AllCampaigns(), matches)...)
+	if d.requests == 0 {
+		e.ctrEmpty.Add(1)
 	}
-	for _, s := range e.cfg.Sinks {
-		if err := e.o.consumeSink(s, &res); err != nil {
-			e.setErr(fmt.Errorf("stream: sink: %w", err))
-			e.o.log.Error("sink failed", "window", d.seq, "sink", sinkName(s), "err", err)
-		}
+	if err := e.commit.Commit(&res); err != nil {
+		e.setErr(err)
 	}
 	if e.o.sealCommit != nil && !d.sealedAt.IsZero() {
 		e.o.sealCommit.Observe(time.Since(d.sealedAt).Seconds())

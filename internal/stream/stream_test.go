@@ -667,10 +667,9 @@ func TestStatsReadableLive(t *testing.T) {
 	}
 }
 
-// KeepIndex publishes each window's merged index; IndexOnly additionally
-// skips detection and the tracker, and both agree with a scratch build of
-// the window's events.
-func TestKeepIndexAndIndexOnly(t *testing.T) {
+// IndexOnly skips detection and the tracker and publishes each window's
+// merged index, which agrees with a scratch build of the window's events.
+func TestIndexOnly(t *testing.T) {
 	events := []trace.Request{
 		evReq(at(0, 10), "c1", "a.com", "/x"),
 		evReq(at(0, 20), "c2", "b.com", "/y"),
@@ -678,38 +677,29 @@ func TestKeepIndexAndIndexOnly(t *testing.T) {
 	}
 	want := trace.BuildIndex(&trace.Trace{Requests: events[:2]})
 
-	for _, cfg := range []Config{
-		{Window: time.Hour, KeepIndex: true},
-		{Window: time.Hour, IndexOnly: true},
-	} {
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wins := collect(t, eng, &SliceSource{Requests: events})
-		if len(wins) != 2 {
-			t.Fatalf("windows = %d, want 2", len(wins))
-		}
-		if wins[0].Index == nil {
-			t.Fatal("window emitted without index")
-		}
-		if got := wins[0].Index.Fingerprint(); got != want.Fingerprint() {
-			t.Errorf("window index diverged from scratch build:\n%s", got)
-		}
-		if cfg.IndexOnly {
-			if wins[0].Report != nil || wins[0].Matches != nil {
-				t.Error("IndexOnly window carries detection output")
-			}
-			if len(eng.Tracker().Lineages()) != 0 {
-				t.Error("IndexOnly fed the tracker")
-			}
-		} else if wins[0].Report == nil {
-			t.Error("KeepIndex window lost its report")
-		}
+	eng, err := New(Config{Window: time.Hour, IndexOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins := collect(t, eng, &SliceSource{Requests: events})
+	if len(wins) != 2 {
+		t.Fatalf("windows = %d, want 2", len(wins))
+	}
+	if wins[0].Index == nil {
+		t.Fatal("window emitted without index")
+	}
+	if got := wins[0].Index.Fingerprint(); got != want.Fingerprint() {
+		t.Errorf("window index diverged from scratch build:\n%s", got)
+	}
+	if wins[0].Report != nil || wins[0].Matches != nil {
+		t.Error("IndexOnly window carries detection output")
+	}
+	if len(eng.Tracker().Lineages()) != 0 {
+		t.Error("IndexOnly fed the tracker")
 	}
 }
 
-// Without KeepIndex the index is not retained on results.
+// A detecting engine does not retain the index on results.
 func TestIndexNotKeptByDefault(t *testing.T) {
 	eng, err := New(Config{Window: time.Hour})
 	if err != nil {
@@ -717,6 +707,6 @@ func TestIndexNotKeptByDefault(t *testing.T) {
 	}
 	wins := collect(t, eng, &SliceSource{Requests: []trace.Request{evReq(at(0, 1), "c1", "a.com", "/x")}})
 	if len(wins) != 1 || wins[0].Index != nil {
-		t.Errorf("index retained without KeepIndex")
+		t.Errorf("index retained on a detected window")
 	}
 }
